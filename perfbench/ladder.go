@@ -316,11 +316,11 @@ func (l *ladder) climb(own *phase, op func() error) error {
 	rep.set("go.gc_pause_p99_us", own.rt.pauseP99Us, "us")
 	rep.set("go.alloc_mb_per_s", own.rt.allocMBPerS, "MB/s")
 	genSrc := l.servePh
-	if len(own.late) > 0 {
+	if own.late.n > 0 {
 		genSrc = own
 	}
-	late := sortedMs(genSrc.late)
-	rep.set("gen.late_p99_ms", quantile(late, tailPercentile(len(late), 99)), "ms")
+	_, late := genSrc.late.tail(99)
+	rep.set("gen.late_p99_ms", late, "ms")
 	return nil
 }
 

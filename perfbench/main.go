@@ -3,7 +3,7 @@
 // metric by name with its unit. The last line of its output is one JSON
 // object: {"correct", "attempted", "failed", "metrics"}.
 //
-//	bash perfbench/run.sh --workload lstm-train --seed 1 --seconds 20 --trace 0
+//	bash perfbench/run.sh --workload lstm-train --seed 1 --seconds 30 --trace 0
 //
 // With --trace 0 the run measures the end-to-end metrics with tracing off.
 // With --trace 1 it measures the workload twice, once untraced and once
@@ -55,10 +55,10 @@ type fixture interface {
 // workloads are the benchmark's traffic mixes. Each stresses some layers and
 // leaves others idle, so an optimisation of one layer has a workload where
 // it should show and one where the prediction is "no change". BENCHMARK.json
-// lists all but fleet-predict, with the same whys: on a shared 2-vCPU host
-// its latency swung too far between runs to hold a regression bound. It
-// stays runnable by name, and the traced run of every workload measures
-// the router through it.
+// lists all but fleet-predict, with the same whys: a fourth workload of
+// 30-s runs would make the full benchmark (two sets of ten seeds each)
+// take too long. It stays runnable by name, and the traced run of every
+// workload measures the router through it.
 var workloads = []workload{
 	{
 		name:  "lstm-train",
@@ -161,7 +161,7 @@ func parseFlags(args []string) (config, error) {
 	var trace int
 	fs.StringVar(&cfg.workload, "workload", "", "workload to run")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "seed of the workload's inputs")
-	fs.Float64Var(&cfg.seconds, "seconds", 20, "length of the measured phase")
+	fs.Float64Var(&cfg.seconds, "seconds", 30, "length of the measured phase")
 	fs.IntVar(&trace, "trace", 0, "1 runs the traced run and prints the per-layer metrics")
 	fs.StringVar(&cfg.spanDir, "spans", ".bench_build/spans", "directory for the traced run's span file")
 	if err := fs.Parse(args); err != nil {

@@ -85,8 +85,14 @@ func TestSLOAccounting(t *testing.T) {
 	if got := ph.failedFrac(); got != 0.6 {
 		t.Errorf("failed_frac = %g, want 0.6", got)
 	}
-	if got := sloFrac(nil, 3, time.Second); got != 0 {
-		t.Errorf("sloFrac with only failures = %g, want 0", got)
+	failures := &loadObs{}
+	failures.add(erred, errors.New("boom"))
+	failures.add(refusedOut, nil)
+	ph = startPhase()
+	ph.addServing(failures, &loadObs{}, 1, time.Second)
+	ph.finish()
+	if got := ph.sloFrac(); got != 0 {
+		t.Errorf("predict_slo_frac with only failures = %g, want 0", got)
 	}
 }
 
@@ -101,6 +107,33 @@ func TestHistQuantile(t *testing.T) {
 		t.Errorf("p99 = %g, want within [8,16]", got)
 	}
 	if got := a.histQuantile(a, "h", 50); got != 0 {
+		t.Errorf("p50 of no observations = %g, want 0", got)
+	}
+}
+
+func TestLatHist(t *testing.T) {
+	for _, ns := range []int64{0, 1, histSub - 1, histSub, histSub + 1, 2*histSub - 1, 2 * histSub, 1000, 123456789, 1 << 40} {
+		lo, width := histBounds(histBucket(ns))
+		if float64(ns) < lo || float64(ns) >= lo+width || width > max(1, float64(ns)/histSub) {
+			t.Errorf("%d ns in bucket [%g, %g+%g)", ns, lo, lo, width)
+		}
+	}
+	var h latHist
+	for i := 1; i <= 1000; i++ {
+		h.record(time.Duration(i) * time.Microsecond)
+	}
+	for p, want := range map[float64]float64{50: 0.5, 90: 0.9, 99: 0.99} {
+		if got := h.quantileMs(p); math.Abs(got-want) > want/histSub {
+			t.Errorf("p%g = %g ms, want %g ms within 1/%d", p, got, want, histSub)
+		}
+	}
+	var sum latHist
+	sum.merge(&h)
+	sum.merge(&h)
+	if got := sum.quantileMs(50); sum.n != 2000 || math.Abs(got-0.5) > 0.5/histSub {
+		t.Errorf("merged twice: n %d, p50 %g ms; want 2000, 0.5 ms within 1/%d", sum.n, got, histSub)
+	}
+	if got := (&latHist{}).quantileMs(50); got != 0 {
 		t.Errorf("p50 of no observations = %g, want 0", got)
 	}
 }

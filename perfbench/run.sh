@@ -2,7 +2,7 @@
 # Builds the benchmark from the sources in this checkout and runs it with the
 # given arguments, for example:
 #
-#   bash perfbench/run.sh --workload serve-mlp --seed 1 --seconds 20 --trace 0
+#   bash perfbench/run.sh --workload serve-mlp --seed 1 --seconds 30 --trace 0
 #
 # Run it from the root of the checkout. Every file the Go toolchain and the
 # benchmark write goes under .bench_build/ in the checkout.

@@ -110,6 +110,7 @@ type predictFunc func(ctx context.Context, sp *spans, id int64, x *tensor.Tensor
 type loadObs struct {
 	tally
 	okLat   []time.Duration // open loop: latency of each correct answer
+	hist    *latHist        // closed loop: latencies of the correct answers
 	late    []time.Duration // open loop: how late each send was
 	infos   []serve.ReqInfo // traced open loop: batcher detail of correct answers
 	doTimes []time.Duration // call durations, paired with infos
@@ -189,10 +190,11 @@ func openLoop(ctx context.Context, rate float64, d time.Duration, p *mlpPool, pr
 }
 
 // closedLoop runs callers that each send their next request when the last
-// one is answered, until d has passed. first offsets each caller's place in
-// the request mix, so successive windows send different requests.
+// one is answered, until d has passed, and times each correct answer. first
+// offsets each caller's place in the request mix, so successive windows send
+// different requests.
 func closedLoop(ctx context.Context, callers, first int, d time.Duration, p *mlpPool, predict predictFunc, sp *spans) *loadObs {
-	obs := &loadObs{}
+	obs := &loadObs{hist: &latHist{}}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -202,14 +204,24 @@ func closedLoop(ctx context.Context, callers, first int, d time.Duration, p *mlp
 		go func(c int) {
 			defer wg.Done()
 			var mine tally
-			for i := first + c*7919; time.Now().Before(deadline); i++ {
+			var lat latHist
+			for i := first + c*7919; ; i++ {
+				s := time.Now()
+				if !s.Before(deadline) {
+					break
+				}
 				k := p.pick(i)
 				id := sp.id()
 				outs, _, err := predict(ctx, sp, id, p.inputs[k])
-				mine.add(classify(p, k, outs, err))
+				oc, err := classify(p, k, outs, err)
+				if oc == answered {
+					lat.record(time.Since(s))
+				}
+				mine.add(oc, err)
 			}
 			mu.Lock()
 			obs.merge(&mine)
+			obs.hist.merge(&lat)
 			mu.Unlock()
 		}(c)
 	}
@@ -218,9 +230,15 @@ func closedLoop(ctx context.Context, callers, first int, d time.Duration, p *mlp
 	return obs
 }
 
-// servingWindows is the number of open-then-closed windows a serving phase
-// of length d is cut into: one per two seconds.
-func servingWindows(d time.Duration) int { return max(1, int(d/(2*time.Second))) }
+// servingWindows cuts a serving phase of length d into open-then-closed
+// windows of about 1.5 s: a third open loop, two thirds closed loop, which
+// yields the latencies behind p50_ms and tail_ms. It returns the number of
+// windows and the length of each stretch.
+func servingWindows(d time.Duration) (n int, open, closed time.Duration) {
+	n = max(1, int(d/(1500*time.Millisecond)))
+	win := d / time.Duration(n)
+	return n, win / 3, win - win/3
+}
 
 // serveFixture is serve-mlp: a serve.Batcher whose CallFunc runs a
 // dcf.Callable of the MLP.
@@ -297,8 +315,7 @@ func (fx *serveFixture) measure(ctx context.Context, d time.Duration, sp *spans)
 	fx.sp.Store(sp)
 	defer fx.sp.Store(nil)
 	fx.takeExec()
-	nWin := servingWindows(d)
-	half := d / time.Duration(2*nWin)
+	nWin, openD, closedD := servingWindows(d)
 	ph := startPhase()
 	so := &serveObs{}
 	var qd, ex, self []time.Duration
@@ -306,10 +323,10 @@ func (fx *serveFixture) measure(ctx context.Context, d time.Duration, sp *spans)
 	var busy, closedWall time.Duration
 	var openAttempted, openRefused int64
 	for i := 0; i < nWin; i++ {
-		open := openLoop(ctx, serveRate, half, fx.pool, fx.predict, sp)
+		open := openLoop(ctx, serveRate, openD, fx.pool, fx.predict, sp)
 		fx.takeExec()
 		s0 := fx.b.Snapshot()
-		closed := closedLoop(ctx, serveCallers, i*serveCallers*7919, half, fx.pool, fx.predict, sp)
+		closed := closedLoop(ctx, serveCallers, i*serveCallers*7919, closedD, fx.pool, fx.predict, sp)
 		s1 := fx.b.Snapshot()
 		busy += busyTime(fx.takeExec())
 		closedWall += closed.wall
@@ -434,12 +451,11 @@ func (fx *fleetFixture) prepare(ctx context.Context) error {
 
 func (fx *fleetFixture) measure(ctx context.Context, d time.Duration, sp *spans) (*phase, error) {
 	s0 := fx.router.Snapshot()
-	nWin := servingWindows(d)
-	half := d / time.Duration(2*nWin)
+	nWin, openD, closedD := servingWindows(d)
 	ph := startPhase()
 	for i := 0; i < nWin; i++ {
-		open := openLoop(ctx, fleetRate, half, fx.pool, fx.predict, sp)
-		closed := closedLoop(ctx, serveCallers, i*serveCallers*7919, half, fx.pool, fx.predict, sp)
+		open := openLoop(ctx, fleetRate, openD, fx.pool, fx.predict, sp)
+		closed := closedLoop(ctx, serveCallers, i*serveCallers*7919, closedD, fx.pool, fx.predict, sp)
 		ph.addServing(open, closed, fleetRate, fleetSLO)
 	}
 	ph.finish()

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"math"
+	"math/bits"
 	"runtime/metrics"
 	"sort"
 	"strconv"
@@ -65,20 +66,90 @@ func median(xs []float64) float64 {
 	return quantile(xs, 50)
 }
 
-// sloFrac is the share of attempted operations answered correctly within
-// limit. ok holds the latencies of correct answers; every other attempt (an
-// error, a refusal or a wrong answer) counts as a miss.
-func sloFrac(ok []time.Duration, attempted int, limit time.Duration) float64 {
-	if attempted == 0 {
+// latHist counts durations in log-linear buckets: one bucket per
+// nanosecond below histSub ns, histSub buckets per power of two above, so no
+// bucket is wider than 1/histSub of the values in it. It holds a window of
+// latencies in a fixed 16 KB, where a slice of them would grow with the
+// run and move the live heap the benchmark reports.
+type latHist struct {
+	counts [64 * histSub]uint32
+	n      int64
+}
+
+const (
+	histSubBits = 6
+	histSub     = 1 << histSubBits
+)
+
+// histBucket returns the bucket of ns nanoseconds.
+func histBucket(ns int64) int {
+	if ns < histSub {
+		return int(max(ns, 0))
+	}
+	e := bits.Len64(uint64(ns)) - 1 - histSubBits
+	return (e+1)*histSub + int(ns>>e) - histSub
+}
+
+// histBounds returns the lowest value of bucket i and the bucket's width,
+// in nanoseconds.
+func histBounds(i int) (lo, width float64) {
+	if i < histSub {
+		return float64(i), 1
+	}
+	e := i/histSub - 1
+	return float64(int64(i%histSub+histSub) << e), float64(int64(1) << e)
+}
+
+func (h *latHist) record(d time.Duration) {
+	h.counts[histBucket(int64(d))]++
+	h.n++
+}
+
+func (h *latHist) merge(o *latHist) {
+	for i, c := range o.counts {
+		h.counts[i] += c
+	}
+	h.n += o.n
+}
+
+// quantileMs returns the nearest-rank p-th percentile in milliseconds,
+// placed inside its bucket by the rank's position among the bucket's
+// counts.
+func (h *latHist) quantileMs(p float64) float64 {
+	if h.n == 0 {
 		return 0
 	}
-	in := 0
-	for _, d := range ok {
+	rank := min(max(math.Ceil(p/100*float64(h.n)), 1), float64(h.n))
+	cum := 0.0
+	for i, c := range h.counts {
+		if c == 0 {
+			continue
+		}
+		if cum+float64(c) >= rank {
+			lo, width := histBounds(i)
+			return (lo + width*(rank-cum-0.5)/float64(c)) / 1e6
+		}
+		cum += float64(c)
+	}
+	return 0
+}
+
+// tail returns the highest percentile up to limit that the histogram's
+// count supports, and its value in ms.
+func (h *latHist) tail(limit float64) (p, ms float64) {
+	p = tailPercentile(int(h.n), limit)
+	return p, h.quantileMs(p)
+}
+
+// within counts the durations no longer than limit.
+func within(ds []time.Duration, limit time.Duration) int {
+	n := 0
+	for _, d := range ds {
 		if d <= limit {
-			in++
+			n++
 		}
 	}
-	return float64(in) / float64(attempted)
+	return n
 }
 
 // outcome is how one operation ended.
