@@ -69,22 +69,22 @@
 // Dynamic control flow runs distributed (§3, §4.4): partitions on
 // different workers make independent progress, coordinating only through
 // Send/Recv — the driver participates at step start and completion, never
-// per iteration. Two transports implement this contract:
-//
-//   - In-process: distrib.NewCluster runs one executor per device over a
-//     shared rendezvous with configurable simulated latency/bandwidth (the
-//     benchmarks' deterministic fabric stand-in).
-//   - Multi-process: distrib.Dial connects to generic worker daemons
-//     (internal/cluster.Worker, the cmd/dcfworker CLI) over TCP;
-//     Fleet.NewCluster partitions the graph by worker, ships each daemon
-//     its gob-encoded subgraph once (plans compile at registration), and
-//     TCPCluster.RunCtx runs steps against the cached plans. Every step
-//     executes in a private rendezvous key scope, so an aborted step can
-//     never leak tokens into the next; driver-side ctx cancellation fans
-//     out as an abort control message that drains blocked Recvs on every
-//     worker. Killing a daemon mid-step fails only that step with a
-//     wrapped error naming the worker; after a restart the driver
-//     redials, re-registers, and the next step succeeds.
+// per iteration. One transport implements this contract: distrib.Dial
+// connects to generic worker daemons (internal/cluster.Worker, the
+// cmd/dcfworker CLI) over TCP; Fleet.NewCluster partitions the graph by
+// worker, verifies the partitioned program (Send/Recv pairing and
+// rendezvous cycles), ships each daemon its gob-encoded subgraph once
+// (plans compile at registration), and TCPCluster.RunCtx runs steps
+// against the cached plans. A worker may host many devices, each with its
+// own executor; hops between devices on one worker stay in that worker's
+// in-memory rendezvous table, which is how the Figure 11 benchmark runs m
+// "machines" on one loopback daemon with injected latency. Every step
+// executes in a private rendezvous key scope, so an aborted step can never
+// leak tokens into the next; driver-side ctx cancellation fans out as an
+// abort control message that drains blocked Recvs on every worker.
+// Killing a daemon mid-step fails only that step with a wrapped error
+// naming the worker; after a restart the driver redials, re-registers, and
+// the next step succeeds.
 //
 // See internal/cluster/README.md for the wire protocol, step scoping, and
 // failure model; examples/tcpcluster for an end-to-end demo; and

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/dcf"
+	"repro/internal/cluster"
 	"repro/internal/distrib"
 	"repro/internal/graph"
 )
@@ -28,6 +29,12 @@ type Fig11Config struct {
 	Latency    time.Duration // simulated one-way network latency
 	MatrixDim  int           // per-machine matmul size (paper: "very small")
 }
+
+// fig11Worker names the one loopback worker daemon that hosts every Fig. 11
+// "machine". Each machine is a device with its own executor on that worker,
+// and the hops between machines go through the worker's in-memory
+// rendezvous table, which charges the injected latency on every transfer.
+const fig11Worker = "fig11"
 
 // DefaultFig11 mirrors the paper's sweep (1–64 machines). Latency defaults
 // to zero: each "machine" is a separate executor, and the per-hop cost is
@@ -107,8 +114,8 @@ func buildFig11Graph(machines, iterations, dim int, barrier bool) (*dcf.Graph, [
 	return g, outs
 }
 
-// runFig11Case measures one (machines, barrier) cell.
-func runFig11Case(machines, iterations, dim int, latency time.Duration, barrier bool) (float64, error) {
+// runFig11Case measures one (machines, barrier) cell on the fleet's worker.
+func runFig11Case(fleet *distrib.Fleet, machines, iterations, dim int, latency time.Duration, barrier bool) (float64, error) {
 	g, outs := buildFig11Graph(machines, iterations, dim, barrier)
 	if err := g.Err(); err != nil {
 		return 0, err
@@ -120,14 +127,16 @@ func runFig11Case(machines, iterations, dim int, latency time.Duration, barrier 
 	if err := maybeFuse(g); err != nil {
 		return 0, err
 	}
-	c, err := distrib.NewCluster(g.Builder(), fetches, nil, distrib.Options{
+	c, err := fleet.NewCluster(g.Builder(), fetches, nil, distrib.TCPOptions{
 		DefaultDevice: "m0",
+		WorkerOf:      func(string) string { return fig11Worker },
 		Latency:       latency,
 		Workers:       Workers,
 	})
 	if err != nil {
 		return 0, err
 	}
+	defer c.Close()
 	// Warm-up step, then the measured step.
 	if _, err := c.Run(nil); err != nil {
 		return 0, err
@@ -146,13 +155,23 @@ func runFig11Case(machines, iterations, dim int, latency time.Duration, barrier 
 func Fig11(cfg Fig11Config, w io.Writer) ([]Fig11Row, error) {
 	fprintf(w, "Figure 11: distributed while-loop iteration rate (latency=%v)\n", cfg.Latency)
 	fprintf(w, "%10s %18s %18s\n", "machines", "no-barrier it/s", "barrier it/s")
+	daemon, err := cluster.NewWorker(fig11Worker, "127.0.0.1:0", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	defer daemon.Close()
+	fleet, err := distrib.Dial(daemon.Addr())
+	if err != nil {
+		return nil, err
+	}
+	defer fleet.Close()
 	var rows []Fig11Row
 	for _, m := range cfg.Machines {
-		nb, err := runFig11Case(m, cfg.Iterations, cfg.MatrixDim, cfg.Latency, false)
+		nb, err := runFig11Case(fleet, m, cfg.Iterations, cfg.MatrixDim, cfg.Latency, false)
 		if err != nil {
 			return nil, fmt.Errorf("fig11 machines=%d no-barrier: %w", m, err)
 		}
-		bar, err := runFig11Case(m, cfg.Iterations, cfg.MatrixDim, cfg.Latency, true)
+		bar, err := runFig11Case(fleet, m, cfg.Iterations, cfg.MatrixDim, cfg.Latency, true)
 		if err != nil {
 			return nil, fmt.Errorf("fig11 machines=%d barrier: %w", m, err)
 		}

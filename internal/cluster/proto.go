@@ -38,7 +38,10 @@ type RegisterGraph struct {
 	Parts   []WirePartition
 	// Peers maps every participating worker to its rendezvous address.
 	Peers map[string]string
-	// ParallelIterations / Workers mirror distrib.Options.
+	// ParallelIterations overrides the loop window and Workers sizes the
+	// per-step kernel pool (0 = the executor defaults). Both, and every
+	// Enter node's parallel_iterations, must lie in [0, the worker's cap]:
+	// a registration outside it is rejected, never allocated.
 	ParallelIterations int
 	Workers            int
 	// Latency/Bandwidth inject simulated fabric characteristics into the

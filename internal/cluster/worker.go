@@ -442,11 +442,43 @@ func (w *Worker) restoreGraph(req *RestoreReq) *RestoreResp {
 	return resp
 }
 
+// Caps on the sizes a registration may ask a worker to allocate. Both arrive
+// over the wire, so they are bounded before anything is sized from them: a
+// kernel pool of Workers queues per step, a ring of parallel-iterations
+// slots per live frame.
+const (
+	maxPoolWorkers        = 1 << 10
+	maxParallelIterations = 1 << 14
+)
+
+// checkRegSizes rejects a registration whose pool size or loop windows are
+// negative or above the caps.
+func checkRegSizes(rg *RegisterGraph, g *graph.Graph) error {
+	if rg.Workers < 0 || rg.Workers > maxPoolWorkers {
+		return fmt.Errorf("cluster: Workers %d out of range [0, %d]", rg.Workers, maxPoolWorkers)
+	}
+	if rg.ParallelIterations < 0 || rg.ParallelIterations > maxParallelIterations {
+		return fmt.Errorf("cluster: ParallelIterations %d out of range [0, %d]", rg.ParallelIterations, maxParallelIterations)
+	}
+	for _, n := range g.Nodes() {
+		if n.Op() != "Enter" {
+			continue
+		}
+		if p := n.AttrInt("parallel_iterations"); p < 0 || p > maxParallelIterations {
+			return fmt.Errorf("cluster: %s: parallel_iterations %d out of range [0, %d]", n.Name(), p, maxParallelIterations)
+		}
+	}
+	return nil
+}
+
 // register rebuilds the graph, compiles one plan per hosted device, and
 // installs the registration (replacing any previous one under the same id).
 func (w *Worker) register(rg *RegisterGraph, owner net.Conn) error {
 	g, byName, err := BuildGraph(rg.Nodes)
 	if err != nil {
+		return err
+	}
+	if err := checkRegSizes(rg, g); err != nil {
 		return err
 	}
 	resolve := func(wo WireOutput) (graph.Output, error) {
@@ -576,10 +608,10 @@ func (w *Worker) abortGraphSteps(gid uint64, g *workerGraph, cause error) {
 	}
 }
 
-// runStep executes one step across the worker's device partitions, exactly
-// like the in-process distrib.Cluster: one executor per device, one shared
-// kernel pool, coordination only through the (step-scoped) rendezvous. The
-// first partition failure aborts the scope so sibling partitions drain.
+// runStep executes one step across the worker's device partitions: one
+// executor per device, one shared kernel pool, coordination only through the
+// (step-scoped) rendezvous. It is the only place a partitioned step runs.
+// The first partition failure aborts the scope so sibling partitions drain.
 func (w *Worker) runStep(g *workerGraph, req *StepReq, ctx context.Context) *StepResp {
 	stepStart := time.Now()
 	defer func() {
@@ -617,11 +649,8 @@ func (w *Worker) runStep(g *workerGraph, req *StepReq, ctx context.Context) *Ste
 		}()
 	}
 
-	var pool *exec.Pool
-	if g.workers != exec.WorkersSpawn {
-		pool = exec.NewPool(g.workers)
-		defer pool.Close()
-	}
+	pool := exec.NewPool(g.workers)
+	defer pool.Close()
 	stepRes := ops.NewResources()
 	type devResult struct {
 		dev  string

@@ -40,8 +40,7 @@ type Session struct {
 	// default of 32).
 	ParallelIterations int
 	// Workers sizes each step's kernel worker pool (0 = min(GOMAXPROCS,
-	// plan kernel nodes); exec.WorkersSpawn = legacy goroutine-per-kernel
-	// dispatch).
+	// plan kernel nodes)).
 	Workers int
 
 	// baseSeed and runSeq derive a private RNG stream per run, so

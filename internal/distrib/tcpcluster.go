@@ -15,6 +15,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/tensor"
 	"repro/internal/trace"
+	"repro/internal/verify"
 )
 
 // Fleet is a set of dialed worker daemons (cmd/dcfworker processes, or
@@ -181,7 +182,7 @@ type TCPOptions struct {
 	// ParallelIterations overrides the loop window on every worker.
 	ParallelIterations int
 	// Workers sizes each worker daemon's per-step kernel pool
-	// (0 = GOMAXPROCS there; exec.WorkersSpawn = legacy spawn).
+	// (0 = GOMAXPROCS there).
 	Workers int
 	// Latency/Bandwidth inject simulated fabric characteristics into every
 	// worker's rendezvous deliveries (benchmark sweeps on loopback).
@@ -212,10 +213,11 @@ func DeviceWorker(dev string) string {
 	return dev
 }
 
-// TCPCluster executes a partitioned graph across worker daemons: the same
-// contract as the in-process Cluster (fetches fixed at construction, each
-// Run one step, reassembly in caller order) but with every partition on a
-// remote worker. The driver is a pure coordinator: it broadcasts the step,
+// TCPCluster executes a partitioned graph across worker daemons. Like
+// TensorFlow, a cluster is specialized to one run signature: the fetches
+// and targets are fixed at construction (the graph is pruned to them before
+// partitioning), each Run executes one step, and fetches come back in
+// caller order. The driver is a pure coordinator: it broadcasts the step,
 // waits for completions, and fans a cancellation or first failure out to
 // the other workers so their blocked Recvs drain (§3's failure model: the
 // step dies, the cluster survives).
@@ -257,8 +259,9 @@ type TCPCluster struct {
 }
 
 // NewCluster prunes the builder's graph to the fetches/targets, partitions
-// it across the fleet's workers, and registers each worker's partitions on
-// its daemon (plans compile once, at registration).
+// it across the fleet's workers, verifies the partitioned program, and
+// registers each worker's partitions on its daemon (plans compile once, at
+// registration).
 func (f *Fleet) NewCluster(b *core.Builder, fetches []graph.Output, targets []*graph.Node, opts TCPOptions) (*TCPCluster, error) {
 	if err := b.Err(); err != nil {
 		return nil, err
@@ -277,6 +280,13 @@ func (f *Fleet) NewCluster(b *core.Builder, fetches []graph.Output, targets []*g
 	}
 	if err := partition.Validate(res); err != nil {
 		return nil, err
+	}
+	// Full static verification of the partitioned program: Send/Recv key
+	// pairing across partitions and the cross-partition rendezvous-cycle
+	// check only make sense here, where every partition is visible (each
+	// worker re-verifies its own slice at registration).
+	if ds := verify.CheckPartitions(b.G, res.Parts); len(ds) != 0 {
+		return nil, fmt.Errorf("distrib: partitioned graph failed verification: %w", ds.Err())
 	}
 	byWorker, workerOrder := partition.ByWorker(res, opts.WorkerOf)
 

@@ -304,3 +304,65 @@ func TestTCPClusterInjectedLatency(t *testing.T) {
 		t.Fatalf("step took %v; injected latency not applied", d)
 	}
 }
+
+// TestWorkerRejectsOutOfRangeRegistration: the pool size and loop windows
+// of a registration arrive over the wire and size allocations on the
+// daemon. Each negative or oversized value must come back as a
+// registration error (not a daemon panic), and the same daemon must then
+// still serve a valid registration.
+func TestWorkerRejectsOutOfRangeRegistration(t *testing.T) {
+	_, addrs := startWorkers(t, 1)
+	fleet, err := Dial(addrs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	hopLoop := func(window int) (*core.Builder, []graph.Output) {
+		b := core.NewBuilder()
+		var outs []graph.Output
+		b.WithDevice("wA/cpu", func() {
+			outs = b.While(
+				[]graph.Output{b.Scalar(0)},
+				func(v []graph.Output) graph.Output { return b.Less(v[0], b.Scalar(4)) },
+				func(v []graph.Output) []graph.Output { return []graph.Output{b.Add(v[0], b.Scalar(1))} },
+				core.WhileOpts{ParallelIterations: window},
+			)
+		})
+		return b, outs
+	}
+	for _, tc := range []struct {
+		name   string
+		window int
+		opts   TCPOptions
+	}{
+		{"Workers=-1", 0, TCPOptions{Workers: -1}},
+		{"Workers=1<<50", 0, TCPOptions{Workers: 1 << 50}},
+		{"ParallelIterations=-1", 0, TCPOptions{ParallelIterations: -1}},
+		{"ParallelIterations=1<<50", 0, TCPOptions{ParallelIterations: 1 << 50}},
+		{"Enter parallel_iterations=-1", -1, TCPOptions{}},
+		{"Enter parallel_iterations=1<<50", 1 << 50, TCPOptions{}},
+	} {
+		b, outs := hopLoop(tc.window)
+		tc2, err := fleet.NewCluster(b, outs, nil, tc.opts)
+		if err == nil {
+			tc2.Close()
+			t.Fatalf("%s: registration accepted", tc.name)
+		}
+		if !strings.Contains(err.Error(), "out of range") {
+			t.Fatalf("%s: want an out-of-range error, got %v", tc.name, err)
+		}
+	}
+	b, outs := hopLoop(8)
+	tc, err := fleet.NewCluster(b, outs, nil, TCPOptions{Workers: 2, ParallelIterations: 4})
+	if err != nil {
+		t.Fatalf("valid registration after rejections: %v", err)
+	}
+	defer tc.Close()
+	vals, err := tc.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := vals[0].ScalarValue(); got != 4 {
+		t.Fatalf("got %v, want 4", got)
+	}
+}

@@ -140,9 +140,12 @@ func buildParallelBody(b *testing.B, g *graph.Graph, iters, width, elems int) []
 	return fetches
 }
 
-// benchParallelBody runs b.N steps of the wide-body loop with the given
-// worker setting; ns/op is per step (iters x width real kernels each).
-func benchParallelBody(b *testing.B, workers int) {
+// BenchmarkParallelBody runs b.N steps of a wide loop body on the worker
+// pool; ns/op is per step (iters x width real kernels each). With
+// GOMAXPROCS >= 4 the pool's dispatch cost (persistent workers, batched
+// completions) is the difference between a dispatcher-bound and a
+// compute-bound step.
+func BenchmarkParallelBody(b *testing.B) {
 	const iters, width, elems = 8, 16, 600
 	g := graph.New()
 	fetches := buildParallelBody(b, g, iters, width, elems)
@@ -153,7 +156,7 @@ func benchParallelBody(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ex, err := NewFromPlan(plan, Config{Workers: workers})
+		ex, err := NewFromPlan(plan, Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,15 +171,6 @@ func benchParallelBody(b *testing.B, workers int) {
 	b.StopTimer()
 	steps := float64(b.N) * float64(iters)
 	b.ReportMetric(steps/b.Elapsed().Seconds(), "steps/sec")
-}
-
-// BenchmarkParallelBody compares the worker pool against the legacy
-// goroutine-per-execution spawn on a wide loop body. With GOMAXPROCS >= 4
-// the pool's lower dispatch cost (persistent workers, batched completions)
-// is the difference between a dispatcher-bound and a compute-bound step.
-func BenchmarkParallelBody(b *testing.B) {
-	b.Run("pool", func(b *testing.B) { benchParallelBody(b, 0) })
-	b.Run("spawn", func(b *testing.B) { benchParallelBody(b, WorkersSpawn) })
 }
 
 // BenchmarkPlanReuse measures the fixed cost of one executor construction +

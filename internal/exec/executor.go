@@ -79,9 +79,8 @@ type Config struct {
 	// Enter ops do not carry their own (0 means DefaultParallelIterations).
 	ParallelIterations int
 	// Workers sizes the kernel worker pool: 0 picks min(GOMAXPROCS,
-	// kernel nodes in the plan), N > 0 fixes the pool at N workers, and
-	// WorkersSpawn (-1) restores the legacy goroutine-per-execution
-	// dispatch (the A/B baseline for the pool). Ignored when Pool is set.
+	// kernel nodes in the plan) and N > 0 fixes the pool at N workers.
+	// Ignored when Pool is set.
 	Workers int
 	// Pool, if set, is a shared worker pool (see NewPool); the executor
 	// submits kernel work to it instead of owning workers. The distributed
@@ -97,10 +96,6 @@ type Config struct {
 	// Chrome trace), typically the partition's device; "" means "cpu".
 	TraceStream string
 }
-
-// WorkersSpawn selects the legacy goroutine-per-execution kernel dispatch
-// instead of the worker pool (the baseline the pool is benchmarked against).
-const WorkersSpawn = -1
 
 // opKind discriminates the ops whose semantics the executor implements
 // itself; every other op is kOther and runs through its registered kernel.
@@ -327,8 +322,8 @@ type Executor struct {
 
 	root *frameState
 
-	// events carries batched completions: workers (and the legacy spawned
-	// goroutines) deliver slices of doneMsg; the dispatcher drains each
+	// events carries batched completions: workers (and the goroutines of
+	// ops that may block) deliver slices of doneMsg; the dispatcher drains each
 	// batch through doneQ before blocking on the channel again.
 	events chan []doneMsg
 	quit   chan struct{}
@@ -343,7 +338,7 @@ type Executor struct {
 	doneHead int
 
 	// pool runs real kernels; nil until the first pooled execution (or
-	// forever, for all-inline steps and legacy spawn mode). ownPool marks
+	// forever, for all-inline steps). ownPool marks
 	// a pool created by this executor, closed when Run returns.
 	pool    *Pool
 	ownPool bool
@@ -1066,12 +1061,11 @@ func (ex *Executor) schedule(idx int32, fs *frameState, it *iterState) {
 	// Ops that may block — Send and Recv (network), kernels on custom
 	// device runners or device memory (simulated streams, swaps) — never
 	// enter the pool: a blocked worker would starve every queued kernel
-	// behind it. They keep their own goroutines, as does everything in
-	// legacy spawn mode (Workers == WorkersSpawn, the pool's A/B baseline).
+	// behind it. They keep their own goroutines.
 	mayBlock := info.kind != kOther ||
 		(ex.runners != nil && ex.runners[idx] != nil) ||
 		(ex.mems != nil && ex.mems[idx] != nil)
-	if mayBlock || (ex.cfg.Pool == nil && ex.cfg.Workers == WorkersSpawn) {
+	if mayBlock {
 		ex.statSpawn++
 		go func() {
 			var start time.Time

@@ -174,27 +174,6 @@ func awaitGoroutines(t *testing.T, baseline int) {
 	t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
 }
 
-// TestLegacySpawnMode keeps the goroutine-per-kernel baseline working (it
-// is the A/B reference for the pool benchmarks).
-func TestLegacySpawnMode(t *testing.T) {
-	b := newTB(t)
-	fetches := buildWideBody(b, 8, 3)
-	ex, err := New(Config{Graph: b.g, Fetches: fetches, Workers: WorkersSpawn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ex.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := out[0].T.F[0]; got != 4 {
-		t.Fatalf("got %v want 4", got)
-	}
-	if ex.pool != nil {
-		t.Fatal("legacy spawn mode must not create a pool")
-	}
-}
-
 // TestAllInlineStepSpawnsNoPool: steps whose kernels all run on the
 // dispatcher never pay for pool construction.
 func TestAllInlineStepSpawnsNoPool(t *testing.T) {

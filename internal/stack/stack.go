@@ -69,7 +69,9 @@ func (s *Res) Len() int {
 }
 
 // Push appends v, charging mem and possibly initiating an asynchronous
-// swap-out. It returns an OOM error if the device cannot hold the value.
+// swap-out. When the device is full but one of this stack's swap-outs is
+// still in flight, Push waits for it (its completion releases device
+// memory) and retries; it returns an OOM error only when nothing is pending.
 func (s *Res) Push(v ops.Value, mem ops.DeviceMem) error {
 	var bytes int64
 	if v.T != nil {
@@ -77,8 +79,16 @@ func (s *Res) Push(v ops.Value, mem ops.DeviceMem) error {
 	}
 	e := &elem{v: v, bytes: bytes, state: onDevice}
 	if mem != nil && bytes > 0 {
-		if err := mem.Allocate(bytes); err != nil {
-			return fmt.Errorf("stack %s: push: %w", s.name, err)
+		for {
+			err := mem.Allocate(bytes)
+			if err == nil {
+				break
+			}
+			pending := s.pendingSwapOut()
+			if pending == nil {
+				return fmt.Errorf("stack %s: push: %w", s.name, err)
+			}
+			<-pending
 		}
 		// Swap policy (§5.3): only swap when device memory pressure
 		// exceeds the threshold, and never swap small tensors.
@@ -99,6 +109,19 @@ func (s *Res) Push(v ops.Value, mem ops.DeviceMem) error {
 	s.mu.Lock()
 	s.elems = append(s.elems, e)
 	s.mu.Unlock()
+	return nil
+}
+
+// pendingSwapOut returns the completion channel of the oldest swap-out still
+// in flight, or nil if none is.
+func (s *Res) pendingSwapOut() chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.elems {
+		if e.state == swappingOut {
+			return e.outDone
+		}
+	}
 	return nil
 }
 

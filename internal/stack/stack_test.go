@@ -171,6 +171,77 @@ func TestSwapThresholdDefersSwapping(t *testing.T) {
 	}
 }
 
+// gatedMem is a DeviceMem whose swap-outs complete only when the test calls
+// finishSwapOuts, and which reports every failed Allocate on oomSeen: a
+// Push racing this stack's own in-flight swap-out becomes deterministic.
+type gatedMem struct {
+	memStub
+	pending []func()
+	oomSeen chan struct{}
+}
+
+func (m *gatedMem) Allocate(b int64) error {
+	err := m.memStub.Allocate(b)
+	if err != nil {
+		m.oomSeen <- struct{}{}
+	}
+	return err
+}
+
+func (m *gatedMem) SwapOut(b int64, done func()) {
+	m.mu.Lock()
+	m.swapOuts++
+	m.pending = append(m.pending, done)
+	m.mu.Unlock()
+}
+
+// finishSwapOuts completes every swap-out started so far.
+func (m *gatedMem) finishSwapOuts() {
+	m.mu.Lock()
+	pending := m.pending
+	m.pending = nil
+	m.mu.Unlock()
+	for _, done := range pending {
+		done()
+	}
+}
+
+// TestPushWaitsForPendingSwapOut: a Push that finds the device full while
+// one of the stack's swap-outs is in flight waits for that swap-out to
+// release its bytes and then succeeds; with nothing pending, the OOM is
+// returned at once.
+func TestPushWaitsForPendingSwapOut(t *testing.T) {
+	// oomSeen holds both failed allocations this test provokes, so the
+	// final Push never blocks reporting one.
+	m := &gatedMem{memStub: memStub{capacity: 8192}, oomSeen: make(chan struct{}, 2)}
+	s := New("s", true)
+	if err := s.Push(val(1), m); err != nil { // fills the device; swap-out pending
+		t.Fatal(err)
+	}
+	pushed := make(chan error, 1)
+	go func() { pushed <- s.Push(val(2), m) }()
+	<-m.oomSeen // the second Push hit the full device
+	select {
+	case err := <-pushed:
+		t.Fatalf("push returned before the pending swap-out finished: %v", err)
+	default:
+	}
+	m.finishSwapOuts()
+	if err := <-pushed; err != nil {
+		t.Fatalf("push after swap-out: %v", err)
+	}
+	m.finishSwapOuts()
+	if m.UsedBytes() != 0 || m.swapOuts != 2 {
+		t.Fatalf("used %d bytes after %d swap-outs, want 0 after 2", m.UsedBytes(), m.swapOuts)
+	}
+
+	// Nothing in flight: a value larger than the device fails at once.
+	big := ops.TensorVal(tensor.Full(1, 2048)) // 16KB > capacity
+	if err := s.Push(big, m); err == nil || !strings.Contains(err.Error(), "out of memory") {
+		t.Fatalf("want OOM, got %v", err)
+	}
+}
+
 func TestResourceName(t *testing.T) {
 	if New("abc", false).ResourceName() != "stack/abc" {
 		t.Fatal("ResourceName")

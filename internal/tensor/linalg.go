@@ -41,9 +41,6 @@ func matmul2d(out, a, b []float64, m, k, n int) {
 		orow := out[i*n : (i+1)*n]
 		for p := 0; p < k; p++ {
 			av := arow[p]
-			if av == 0 {
-				continue
-			}
 			brow := b[p*n : (p+1)*n]
 			for j := 0; j < n; j++ {
 				orow[j] += av * brow[j]

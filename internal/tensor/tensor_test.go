@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -263,6 +264,33 @@ func TestMatMul(t *testing.T) {
 	}
 	if _, err := MatMul(a, a); err == nil {
 		t.Fatal("expected inner-dim error")
+	}
+}
+
+// TestMatMulIEEEZeros: a zero in A must not skip its products, so 0×Inf and
+// 0×NaN give NaN as IEEE 754 requires, and signed zeros multiply to zero.
+func TestMatMulIEEEZeros(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		a, b []float64
+		want float64 // NaN means "want NaN"
+	}{
+		{"0*Inf", []float64{0, 1}, []float64{inf, 2}, nan},
+		{"0*-Inf", []float64{0, 1}, []float64{math.Inf(-1), 2}, nan},
+		{"0*NaN", []float64{0, 1}, []float64{nan, 2}, nan},
+		{"-0*Inf", []float64{math.Copysign(0, -1), 1}, []float64{inf, 2}, nan},
+		{"+-0*finite", []float64{math.Copysign(0, -1), 0}, []float64{5, -3}, 0},
+		{"0 then finite", []float64{0, 2}, []float64{7, 3}, 6},
+	} {
+		c, err := MatMul(FromFloats(tc.a, 1, 2), FromFloats(tc.b, 2, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := c.F[0]
+		if math.IsNaN(tc.want) != math.IsNaN(got) || (!math.IsNaN(got) && got != tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -390,21 +389,4 @@ func FlowID(key, tag string) uint64 {
 		h = 1 // 0 means "no flow"
 	}
 	return h
-}
-
-// Sampler selects every Nth step for tracing. The zero value (and a nil
-// Sampler) never samples; Every=1 samples every step.
-type Sampler struct {
-	Every uint64
-	n     atomic.Uint64
-}
-
-// Sample reports whether this occurrence is selected. Safe for concurrent
-// use; the first occurrence is always selected when sampling is on, so a
-// short run still yields a trace.
-func (s *Sampler) Sample() bool {
-	if s == nil || s.Every == 0 {
-		return false
-	}
-	return (s.n.Add(1)-1)%s.Every == 0
 }
