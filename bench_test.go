@@ -1,12 +1,11 @@
 package repro
 
 // One benchmark per table and figure of the paper's evaluation (§6), plus
-// the ablations DESIGN.md calls out. Each wraps the corresponding driver in
+// the ablations. Each wraps the corresponding driver in
 // internal/bench at reduced ("quick") scale; cmd/dcfbench runs the full
 // sweeps and prints the paper-style tables.
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -160,26 +159,6 @@ func BenchmarkAblationStackSwap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := bench.AblationStackSwap(16, 48, nil); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBatchServe measures the adaptive request batcher (dcf.Server)
-// against the unbatched shared-Callable baseline at the sweep's top
-// concurrency, reporting the batched-vs-unbatched speedup.
-func BenchmarkBatchServe(b *testing.B) {
-	cfg := bench.DefaultBatchServe(true, 16, 16, 0)
-	cfg.OpenLoopSeconds = 0 // keep the benchmark's inner loop closed-form
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := bench.BatchServe(context.Background(), cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 && len(res.Rows) > 0 {
-			last := res.Rows[len(res.Rows)-1]
-			b.ReportMetric(last.BatchedRPS, "batched-req/s")
-			b.ReportMetric(last.Speedup, "speedup-x")
 		}
 	}
 }

@@ -6,15 +6,19 @@ package dcf_test
 // strictly fewer node executions.
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/dcf"
 	"repro/internal/nn"
 )
 
-// runFusedVsUnfused builds the same graph twice via build (which must be
-// deterministic), runs one as constructed and one after elementwise fusion,
-// and requires bit-identical fetches plus a drop in executed nodes.
+// runFusedVsUnfused builds the same graph four times via build (which must
+// be deterministic): unfused and after elementwise fusion, each on a
+// one-worker and a two-worker kernel pool. All four runs must fetch
+// bit-identical values, and at each pool size fusion must shrink the
+// number of executed nodes.
 func runFusedVsUnfused(t *testing.T, name string, build func(g *dcf.Graph) ([]dcf.Tensor, dcf.Feeds, []dcf.Op)) {
 	t.Helper()
 	type result struct {
@@ -22,7 +26,7 @@ func runFusedVsUnfused(t *testing.T, name string, build func(g *dcf.Graph) ([]dc
 		executed int
 		fused    int
 	}
-	runOne := func(fuse bool) result {
+	runOne := func(fuse bool, workers int) result {
 		g := dcf.NewGraph()
 		fetches, feeds, targets := build(g)
 		if err := g.Err(); err != nil {
@@ -34,8 +38,7 @@ func runFusedVsUnfused(t *testing.T, name string, build func(g *dcf.Graph) ([]dc
 		if err != nil {
 			t.Fatalf("%s: optimize: %v", name, err)
 		}
-		fused := st.Fused
-		sess := dcf.NewSession(g)
+		sess := dcf.NewSessionOpts(g, dcf.SessionOptions{Workers: workers})
 		if err := sess.InitVariables(); err != nil {
 			t.Fatalf("%s: init: %v", name, err)
 		}
@@ -44,36 +47,50 @@ func runFusedVsUnfused(t *testing.T, name string, build func(g *dcf.Graph) ([]dc
 		// and update) and the fetched values are pre-update in both runs.
 		vals, err := sess.Run(feeds, fetches, targets...)
 		if err != nil {
-			t.Fatalf("%s (fuse=%v): %v", name, fuse, err)
+			t.Fatalf("%s (fuse=%v, workers=%d): %v", name, fuse, workers, err)
 		}
-		return result{vals: vals, executed: sess.Stats().NodesExecuted, fused: fused}
+		return result{vals: vals, executed: sess.Stats().NodesExecuted, fused: st.Fused}
 	}
-	plain := runOne(false)
-	fused := runOne(true)
-	if fused.fused < 2 {
-		t.Fatalf("%s: expected a fusable chain, fused only %d nodes", name, fused.fused)
+	var ref result
+	for _, workers := range []int{1, 2} {
+		plain := runOne(false, workers)
+		fused := runOne(true, workers)
+		if fused.fused < 2 {
+			t.Fatalf("%s: expected a fusable chain, fused only %d nodes", name, fused.fused)
+		}
+		if fused.executed >= plain.executed {
+			t.Fatalf("%s (workers=%d): fusion did not shrink the schedule: %d -> %d executions",
+				name, workers, plain.executed, fused.executed)
+		}
+		t.Logf("%s (workers=%d): %d -> %d executions (%d nodes fused)", name, workers, plain.executed, fused.executed, fused.fused)
+		if ref.vals == nil {
+			ref = plain
+		}
+		requireBitIdentical(t, fmt.Sprintf("%s unfused workers=%d", name, workers), ref.vals, plain.vals)
+		requireBitIdentical(t, fmt.Sprintf("%s fused workers=%d", name, workers), ref.vals, fused.vals)
 	}
-	if fused.executed >= plain.executed {
-		t.Fatalf("%s: fusion did not shrink the schedule: %d -> %d executions",
-			name, plain.executed, fused.executed)
+}
+
+// requireBitIdentical fails unless got matches want element for element,
+// comparing floats by their bits (so NaN payloads and signed zeros count).
+func requireBitIdentical(t *testing.T, where string, want, got []*dcf.Value) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: fetch count %d, want %d", where, len(got), len(want))
 	}
-	t.Logf("%s: %d -> %d executions (%d nodes fused)", name, plain.executed, fused.executed, fused.fused)
-	if len(plain.vals) != len(fused.vals) {
-		t.Fatalf("%s: fetch count mismatch", name)
-	}
-	for i := range plain.vals {
-		a, b := plain.vals[i], fused.vals[i]
+	for i := range want {
+		a, b := want[i], got[i]
 		if a.DType() != b.DType() || len(a.F) != len(b.F) || len(a.I) != len(b.I) {
-			t.Fatalf("%s fetch %d: shape/dtype mismatch: %v vs %v", name, i, a, b)
+			t.Fatalf("%s fetch %d: shape/dtype mismatch: %v vs %v", where, i, a, b)
 		}
 		for j := range a.F {
-			if a.F[j] != b.F[j] {
-				t.Fatalf("%s fetch %d elem %d: %v != %v (not bit-identical)", name, i, j, a.F[j], b.F[j])
+			if math.Float64bits(a.F[j]) != math.Float64bits(b.F[j]) {
+				t.Fatalf("%s fetch %d elem %d: %v != %v (not bit-identical)", where, i, j, b.F[j], a.F[j])
 			}
 		}
 		for j := range a.I {
 			if a.I[j] != b.I[j] {
-				t.Fatalf("%s fetch %d elem %d: %v != %v", name, i, j, a.I[j], b.I[j])
+				t.Fatalf("%s fetch %d elem %d: %v != %v", where, i, j, b.I[j], a.I[j])
 			}
 		}
 	}

@@ -31,9 +31,9 @@
 //
 // See examples/serving for an HTTP model server over the batched path,
 // cmd/dcfserve for the production server (JSON predict API, checkpoint
-// restore, /healthz, Prometheus /metrics, graceful drain), `cmd/dcfbench
-// -exp serving` for the unbatched concurrency sweep, and `cmd/dcfbench
-// -exp batchserve` for the batched latency/throughput frontier.
+// restore, /healthz, Prometheus /metrics, graceful drain), and perfbench's
+// serve-mlp workload (`bash perfbench/run.sh --workload serve-mlp`) for the
+// batcher's throughput, latency and per-layer queue/exec split.
 //
 // # Replicated serving
 //
@@ -88,8 +88,8 @@
 //
 // See internal/cluster/README.md for the wire protocol, step scoping, and
 // failure model; examples/tcpcluster for an end-to-end demo; and
-// `cmd/dcfbench -exp tcpdist` for the steps/sec sweep against worker
-// count and injected fabric latency.
+// perfbench's dist-loop workload for the two-daemon step rate with its
+// wire, rendezvous and step-protocol costs.
 //
 // # Fault tolerance
 //
@@ -196,9 +196,7 @@
 // and /debug/trace?steps=N (arm tracing for the next N live steps and get
 // their merged trace); the driver's -trace flag writes a fleet-wide
 // traced step to a file; dcfserve serves /metrics, /debug/vars,
-// /debug/pprof, and /debug/trace?steps=N (traced probe steps);
-// `dcfbench -exp tcpdist -trace out.json` captures a traced distributed
-// step from the benchmark fleet.
+// /debug/pprof, and /debug/trace?steps=N (traced probe steps).
 //
 // # Runtime performance knobs
 //

@@ -33,10 +33,7 @@ func AblationDeadness(chainLen, steps int, w io.Writer) (perStepUs float64, err 
 	if err := g.Err(); err != nil {
 		return 0, err
 	}
-	sess, err := newSession(g)
-	if err != nil {
-		return 0, err
-	}
+	sess := dcf.NewSession(g)
 	feeds := dcf.Feeds{"p": dcf.ScalarBool(true)} // false branch always dead
 	if _, err := sess.Run1(feeds, outs[0]); err != nil {
 		return 0, err
@@ -66,10 +63,7 @@ func AblationTagOverhead(chainLen, steps int, w io.Writer) (perOpNs float64, err
 	for i := 0; i < chainLen; i++ {
 		cur = cur.Add(g.Scalar(1))
 	}
-	sess, err := newSession(g)
-	if err != nil {
-		return 0, err
-	}
+	sess := dcf.NewSession(g)
 	if _, err := sess.Run1(nil, cur); err != nil {
 		return 0, err
 	}
@@ -113,12 +107,9 @@ func AblationStackSwap(iters, dim int, w io.Writer) (offSec, onSec float64, err 
 		if err != nil {
 			return 0, err
 		}
-		sess, err := newSessionOpts(g, dcf.SessionOptions{
+		sess := dcf.NewSessionOpts(g, dcf.SessionOptions{
 			Devices: []dcf.DeviceConfig{{Name: "gpu:0", CopyBandwidth: 20e9}},
 		})
-		if err != nil {
-			return 0, err
-		}
 		defer sess.Close()
 		if err := sess.InitVariables(); err != nil {
 			return 0, err

@@ -143,7 +143,7 @@ func Chaos(ctx context.Context, cfg ChaosConfig, dir string, w io.Writer) ([]Cha
 	t0 := time.Now()
 	if _, err := distrib.RunJob(ctx, fleet, spec, distrib.JobOptions{
 		Steps:          uint64(cfg.Steps),
-		TCP:            distrib.TCPOptions{CheckpointDir: dir, CheckpointEvery: cfg.CheckpointEvery, Workers: Workers},
+		TCP:            distrib.TCPOptions{CheckpointDir: dir, CheckpointEvery: cfg.CheckpointEvery},
 		MaxStepRetries: 10,
 		RetryBackoff:   100 * time.Millisecond,
 	}); err != nil {

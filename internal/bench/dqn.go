@@ -182,10 +182,7 @@ func runInGraphDQN(cfg DQNConfig) (float64, error) {
 		return 0, err
 	}
 
-	sess, err := newSessionOpts(g, dcf.SessionOptions{RunOverhead: cfg.RunOverhead})
-	if err != nil {
-		return 0, err
-	}
+	sess := dcf.NewSessionOpts(g, dcf.SessionOptions{RunOverhead: cfg.RunOverhead})
 	if err := sess.InitVariables(); err != nil {
 		return 0, err
 	}
@@ -241,10 +238,7 @@ func runOutOfGraphDQN(cfg DQNConfig) (float64, error) {
 		return 0, err
 	}
 
-	sess, err := newSessionOpts(g, dcf.SessionOptions{RunOverhead: cfg.RunOverhead})
-	if err != nil {
-		return 0, err
-	}
+	sess := dcf.NewSessionOpts(g, dcf.SessionOptions{RunOverhead: cfg.RunOverhead})
 	if err := sess.InitVariables(); err != nil {
 		return 0, err
 	}

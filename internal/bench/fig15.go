@@ -94,10 +94,7 @@ func fig15Measure(cfg Fig15Config, gpus, timesteps int) (float64, error) {
 			},
 		})
 	}
-	sess, err := newSessionOpts(g, dcf.SessionOptions{Devices: devCfgs})
-	if err != nil {
-		return 0, err
-	}
+	sess := dcf.NewSessionOpts(g, dcf.SessionOptions{Devices: devCfgs})
 	defer sess.Close()
 	if err := sess.InitVariables(); err != nil {
 		return 0, err

@@ -31,26 +31,26 @@ import (
 
 // FleetServeRow is one (replicas, loop mode, kill) cell of the sweep.
 type FleetServeRow struct {
-	Replicas    int  `json:"replicas"`
-	Concurrency int  `json:"concurrency,omitempty"` // closed-loop worker count (0 = open loop)
-	OpenRPS     int  `json:"open_rps,omitempty"`    // open-loop target arrival rate (0 = closed loop)
-	Killed      bool `json:"killed"`
+	Replicas    int
+	Concurrency int // closed-loop worker count (0 = open loop)
+	OpenRPS     int // open-loop target arrival rate (0 = closed loop)
+	Killed      bool
 
-	Requests  int   `json:"requests"`
-	Errors    int   `json:"errors"`
-	Retries   int64 `json:"retries"`
-	Exhausted int64 `json:"exhausted"`
+	Requests  int
+	Errors    int
+	Retries   int64
+	Exhausted int64
 
-	RPS   float64 `json:"rps"`
-	P50Ms float64 `json:"p50_ms"`
-	P99Ms float64 `json:"p99_ms"`
+	RPS   float64
+	P50Ms float64
+	P99Ms float64
 
 	// The kill rows split the run at the kill and at the victim's
 	// readmission.
-	BeforeRPS  float64 `json:"before_rps,omitempty"`
-	DuringRPS  float64 `json:"during_rps,omitempty"`
-	AfterRPS   float64 `json:"after_rps,omitempty"`
-	RecoveryMs float64 `json:"recovery_ms,omitempty"` // kill -> victim active again
+	BeforeRPS  float64
+	DuringRPS  float64
+	AfterRPS   float64
+	RecoveryMs float64 // kill -> victim active again
 }
 
 // FleetServeConfig parameterizes the sweep.

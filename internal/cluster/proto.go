@@ -44,10 +44,9 @@ type RegisterGraph struct {
 	// a registration outside it is rejected, never allocated.
 	ParallelIterations int
 	Workers            int
-	// Latency/Bandwidth inject simulated fabric characteristics into the
-	// worker's rendezvous deliveries (benchmark sweeps).
-	Latency   time.Duration
-	Bandwidth float64
+	// Latency injects simulated one-way fabric latency into the worker's
+	// rendezvous deliveries (benchmark sweeps).
+	Latency time.Duration
 	// FaultSeed/FaultResetProb/FaultDropProb arm seeded probabilistic
 	// fault injection on the worker's rendezvous send path (conn resets
 	// and silent message drops; see rendezvous.Net.SetFaults) — how fleet

@@ -22,67 +22,18 @@ import (
 	"repro/internal/tensor"
 )
 
-// WireTensor is the gob form of a dense tensor (feeds, fetches, and Const
-// attributes cross the control connection in this shape).
-type WireTensor struct {
-	DType int
-	Shape []int
-	F     []float64
-	I     []int64
-	B     []bool
-	S     []string
-}
+// WireTensor is the protocol's tensor form (feeds, fetches, Const
+// attributes and variable snapshots cross the control connection in it).
+// It is tensor.Wire, and tensor.FromWire is the one validating decoder the
+// rendezvous data plane and checkpoints use too.
+type WireTensor = tensor.Wire
 
-// TensorToWire converts a tensor for transport.
-func TensorToWire(t *tensor.Tensor) *WireTensor {
-	if t == nil {
-		return nil
-	}
-	return &WireTensor{
-		DType: int(t.DType()),
-		Shape: t.Shape(),
-		F:     t.F,
-		I:     t.I,
-		B:     t.B,
-		S:     t.S,
-	}
-}
+// TensorToWire converts a tensor for transport (tensor.ToWire).
+func TensorToWire(t *tensor.Tensor) *WireTensor { return tensor.ToWire(t) }
 
-// TensorFromWire rebuilds a tensor. The wire shape is untrusted: dtype,
-// dimension signs, and the shape/payload element count are all validated
-// before the panicking tensor constructors run, so a malformed or hostile
-// envelope yields a diagnosed error, never a panic in the worker.
-func TensorFromWire(w *WireTensor) (*tensor.Tensor, error) {
-	if w == nil {
-		return nil, nil
-	}
-	var elems int
-	switch tensor.DType(w.DType) {
-	case tensor.Float:
-		elems = len(w.F)
-	case tensor.Int:
-		elems = len(w.I)
-	case tensor.Bool:
-		elems = len(w.B)
-	case tensor.Str:
-		elems = len(w.S)
-	default:
-		return nil, fmt.Errorf("cluster: unknown wire dtype %d", w.DType)
-	}
-	if err := tensor.CheckShape(w.Shape, elems); err != nil {
-		return nil, fmt.Errorf("cluster: malformed wire tensor: %w", err)
-	}
-	switch tensor.DType(w.DType) {
-	case tensor.Int:
-		return tensor.FromInts(w.I, w.Shape...), nil
-	case tensor.Bool:
-		return tensor.FromBools(w.B, w.Shape...), nil
-	case tensor.Str:
-		return tensor.FromStrings(w.S, w.Shape...), nil
-	default:
-		return tensor.FromFloats(w.F, w.Shape...), nil
-	}
-}
+// TensorFromWire rebuilds a tensor from untrusted wire input, returning an
+// error, never panicking, on a malformed message (tensor.FromWire).
+func TensorFromWire(w *WireTensor) (*tensor.Tensor, error) { return tensor.FromWire(w) }
 
 // Attribute kinds of WireAttr (an explicit tagged union: gob needs no
 // interface registration and unknown kinds fail loudly at decode).

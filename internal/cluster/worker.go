@@ -528,7 +528,7 @@ func (w *Worker) register(rg *RegisterGraph, owner net.Conn) error {
 	// Unconditional: a zero-latency registration must clear any fabric
 	// injection a previous registration configured on this daemon. Same
 	// for fault injection: zero probs disarm it.
-	w.rv.SetFabric(rg.Latency, rg.Bandwidth)
+	w.rv.SetFabric(rg.Latency)
 	w.rv.SetFaults(rg.FaultSeed, rg.FaultResetProb, rg.FaultDropProb)
 	wg := &workerGraph{
 		g:        g,

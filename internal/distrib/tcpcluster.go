@@ -184,10 +184,9 @@ type TCPOptions struct {
 	// Workers sizes each worker daemon's per-step kernel pool
 	// (0 = GOMAXPROCS there).
 	Workers int
-	// Latency/Bandwidth inject simulated fabric characteristics into every
-	// worker's rendezvous deliveries (benchmark sweeps on loopback).
-	Latency   time.Duration
-	Bandwidth float64
+	// Latency injects simulated one-way fabric latency into every worker's
+	// rendezvous deliveries (benchmark sweeps on loopback).
+	Latency time.Duration
 	// FaultSeed/FaultResetProb/FaultDropProb arm seeded conn-reset and
 	// send-drop injection on every worker's rendezvous send path
 	// (rendezvous.Net.SetFaults): deterministic chaos for fleet tests.
@@ -362,7 +361,6 @@ func (f *Fleet) NewCluster(b *core.Builder, fetches []graph.Output, targets []*g
 			ParallelIterations: opts.ParallelIterations,
 			Workers:            opts.Workers,
 			Latency:            opts.Latency,
-			Bandwidth:          opts.Bandwidth,
 			FaultSeed:          opts.FaultSeed,
 			FaultResetProb:     opts.FaultResetProb,
 			FaultDropProb:      opts.FaultDropProb,

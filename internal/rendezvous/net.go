@@ -3,6 +3,7 @@ package rendezvous
 import (
 	"encoding/gob"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -26,7 +27,12 @@ const (
 	dialTimeout  = time.Second
 )
 
-// wireMsg is the on-the-wire form of a token.
+// wireMsg is the on-the-wire form of a token. The tensor fields are
+// tensor.Wire's, kept flat rather than nested: a nested struct adds a
+// level of gob recursion to every encode, and since the executor runs each
+// Send on a goroutine of its own, that depth made the sender's stack grow
+// (copystack) on every message, costing dist-loop about a tenth of its
+// step rate.
 type wireMsg struct {
 	Key   string
 	Dead  bool
@@ -56,27 +62,20 @@ func toWire(key string, t exec.Token) (*wireMsg, error) {
 	return m, nil
 }
 
-// fromWire decodes a wire message into a token. An unrecognized dtype is an
-// explicit error: silently producing a token with a nil tensor surfaces much
-// later as a confusing nil dereference inside a kernel.
+// fromWire decodes a wire message into a token. The message is untrusted:
+// tensor.FromWire turns a malformed tensor (unknown dtype, shape that does
+// not match its payload) into an error, never a panic and never a token
+// with a nil tensor that would surface later inside a kernel.
 func fromWire(m *wireMsg) (exec.Token, error) {
 	tok := exec.Token{Dead: m.Dead}
-	if m.HasT {
-		var v *tensor.Tensor
-		switch tensor.DType(m.DType) {
-		case tensor.Float:
-			v = tensor.FromFloats(m.F, m.Shape...)
-		case tensor.Int:
-			v = tensor.FromInts(m.I, m.Shape...)
-		case tensor.Bool:
-			v = tensor.FromBools(m.B, m.Shape...)
-		case tensor.Str:
-			v = tensor.FromStrings(m.S, m.Shape...)
-		default:
-			return exec.Token{}, fmt.Errorf("rendezvous: key %q carries unknown dtype %d", m.Key, m.DType)
-		}
-		tok.Val.T = v
+	if !m.HasT {
+		return tok, nil
 	}
+	t, err := tensor.FromWire(&tensor.Wire{DType: m.DType, Shape: m.Shape, F: m.F, I: m.I, B: m.B, S: m.S})
+	if err != nil {
+		return exec.Token{}, fmt.Errorf("rendezvous: key %q: %w", m.Key, err)
+	}
+	tok.Val.T = t
 	return tok, nil
 }
 
@@ -109,7 +108,6 @@ type Net struct {
 	scopes    map[string]*Local
 	accepted  map[net.Conn]struct{}
 	latency   time.Duration
-	bandwidth float64
 	ln        net.Listener
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -174,20 +172,18 @@ func (n *Net) AddPeer(worker, addr string) {
 	}
 }
 
-// SetFabric injects simulated network characteristics: latency is added to
-// every delivery and bandwidth (bytes/second, 0 = infinite) adds a
-// size-proportional delay, exactly as in the in-process Local. It applies to
-// scopes created after the call (the cluster worker sets it at graph
+// SetFabric injects simulated network latency: it is added to every
+// delivery, exactly as in the in-process Local. It applies to scopes
+// created after the call (the cluster worker sets it at graph
 // registration, before any step runs).
-func (n *Net) SetFabric(latency time.Duration, bandwidth float64) {
+func (n *Net) SetFabric(latency time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.latency = latency
-	n.bandwidth = bandwidth
 }
 
 // SetFaults arms probabilistic fault injection on the remote send path,
-// extending SetFabric's latency/bandwidth shaping to the failure modes a
+// extending SetFabric's latency shaping to the failure modes a
 // router must survive: each outbound wire message is dropped with dropProb
 // (silent loss — the receiver's Recv waits until something aborts it,
 // modeling a partition that eats packets) and, independently, the
@@ -276,7 +272,7 @@ func (n *Net) scopeTable(scope string) (*Local, bool) {
 	if f, _ := n.filter.Load().(func(string) bool); f != nil && !f(scope) {
 		return nil, false
 	}
-	s = NewLocal(n.latency, n.bandwidth)
+	s = NewLocal(n.latency)
 	n.scopes[scope] = s
 	select {
 	case <-n.closed:
@@ -343,15 +339,21 @@ func (n *Net) serve() {
 				delete(n.accepted, conn)
 				n.mu.Unlock()
 			}()
-			dec := gob.NewDecoder(conn)
-			for {
-				var m wireMsg
-				if err := dec.Decode(&m); err != nil {
-					return
-				}
-				n.deliverWire(&m)
-			}
+			n.receive(conn)
 		}()
+	}
+}
+
+// receive decodes the wire messages of one inbound stream and delivers
+// each, until the stream ends or stops decoding.
+func (n *Net) receive(r io.Reader) {
+	dec := gob.NewDecoder(r)
+	for {
+		var m wireMsg
+		if err := dec.Decode(&m); err != nil {
+			return
+		}
+		n.deliverWire(&m)
 	}
 }
 

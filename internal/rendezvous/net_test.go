@@ -215,6 +215,50 @@ func TestUnknownDTypeAbortsScope(t *testing.T) {
 	}
 }
 
+// TestMalformedShapeAbortsScope: a wire message whose shape does not match
+// its payload, written raw to a worker's port, must abort only its own
+// scope with an error — not panic the receiving process. The same
+// connection then keeps delivering to other scopes.
+func TestMalformedShapeAbortsScope(t *testing.T) {
+	_, b := netPair(t)
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	bad, good := "s1|"+sendKey("wB", "t0"), "s2|"+sendKey("wB", "t0")
+	recvErr := make(chan error, 1)
+	go func() {
+		_, err := b.Recv(bad, nil)
+		recvErr <- err
+	}()
+	enc := gob.NewEncoder(conn)
+	malformed := &wireMsg{Key: bad, HasT: true, DType: int(tensor.Float), Shape: []int{2}, F: []float64{1, 2, 3}}
+	if err := enc.Encode(malformed); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-recvErr:
+		if err == nil || !strings.Contains(err.Error(), "shape [2]") {
+			t.Fatalf("want a shape error, got %v", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("receiver never observed the decode error")
+	}
+	if err := enc.Encode(&wireMsg{Key: good, HasT: true, DType: int(tensor.Float), F: []float64{7}}); err != nil {
+		t.Fatal(err)
+	}
+	timeout := make(chan struct{})
+	defer time.AfterFunc(3*time.Second, func() { close(timeout) }).Stop()
+	got, err := b.Recv(good, timeout)
+	if err != nil {
+		t.Fatalf("scope s2 after the malformed message: %v", err)
+	}
+	if got.Val.T.ScalarValue() != 7 {
+		t.Fatalf("got %v, want 7", got.Val.T.ScalarValue())
+	}
+}
+
 // TestScopeIsolation: tokens land in their scope's table, aborting one scope
 // leaves others running, and releasing scopes reclaims their tables.
 func TestScopeIsolation(t *testing.T) {

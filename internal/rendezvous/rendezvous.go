@@ -5,8 +5,8 @@
 // signals travel with the payload so deadness propagates across devices
 // (§4.4).
 //
-// Local is an in-process key table with optional simulated network latency
-// and bandwidth. Net (net.go) is the transport between worker processes: it
+// Local is an in-process key table with optional simulated network
+// latency. Net (net.go) is the transport between worker processes: it
 // keeps one Local per step scope, delivers keys addressed to its own worker
 // straight into that table, and ships every other key over TCP.
 package rendezvous
@@ -25,8 +25,6 @@ type Local struct {
 	// Latency is added to every transfer (one-way), modeling the network
 	// fabric between machines.
 	Latency time.Duration
-	// Bandwidth, if nonzero, adds bytes/Bandwidth seconds per transfer.
-	Bandwidth float64
 
 	mu    sync.Mutex
 	slots map[string]*slot
@@ -41,12 +39,11 @@ type slot struct {
 }
 
 // NewLocal returns an empty in-process rendezvous.
-func NewLocal(latency time.Duration, bandwidth float64) *Local {
+func NewLocal(latency time.Duration) *Local {
 	return &Local{
-		Latency:   latency,
-		Bandwidth: bandwidth,
-		slots:     map[string]*slot{},
-		abort:     make(chan struct{}),
+		Latency: latency,
+		slots:   map[string]*slot{},
+		abort:   make(chan struct{}),
 	}
 }
 
@@ -107,13 +104,9 @@ func (l *Local) Recv(key string, cancel <-chan struct{}) (exec.Token, error) {
 		}
 		return exec.Token{}, err
 	}
-	delay := l.Latency
-	if l.Bandwidth > 0 && s.tok.Val.T != nil {
-		delay += time.Duration(float64(s.tok.Val.T.NumBytes()) / l.Bandwidth * float64(time.Second))
-	}
-	if delay > 0 {
+	if l.Latency > 0 {
 		select {
-		case <-time.After(delay):
+		case <-time.After(l.Latency):
 		case <-cancel:
 			return exec.Token{}, fmt.Errorf("rendezvous: recv of %q canceled", key)
 		}

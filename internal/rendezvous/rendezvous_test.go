@@ -16,7 +16,7 @@ func tok(v float64) exec.Token {
 }
 
 func TestLocalSendThenRecv(t *testing.T) {
-	l := NewLocal(0, 0)
+	l := NewLocal(0)
 	if err := l.Send("k", tok(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestLocalSendThenRecv(t *testing.T) {
 }
 
 func TestLocalRecvBlocksUntilSend(t *testing.T) {
-	l := NewLocal(0, 0)
+	l := NewLocal(0)
 	done := make(chan exec.Token, 1)
 	go func() {
 		tk, err := l.Recv("k", nil)
@@ -59,7 +59,7 @@ func TestLocalRecvBlocksUntilSend(t *testing.T) {
 }
 
 func TestLocalDuplicateSendFails(t *testing.T) {
-	l := NewLocal(0, 0)
+	l := NewLocal(0)
 	if err := l.Send("k", tok(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestLocalDuplicateSendFails(t *testing.T) {
 }
 
 func TestLocalDeadTokenCrosses(t *testing.T) {
-	l := NewLocal(0, 0)
+	l := NewLocal(0)
 	if err := l.Send("k", exec.Token{Dead: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestLocalDeadTokenCrosses(t *testing.T) {
 }
 
 func TestLocalCancel(t *testing.T) {
-	l := NewLocal(0, 0)
+	l := NewLocal(0)
 	cancel := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
@@ -97,7 +97,7 @@ func TestLocalCancel(t *testing.T) {
 }
 
 func TestLocalAbortUnblocksAll(t *testing.T) {
-	l := NewLocal(0, 0)
+	l := NewLocal(0)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -117,7 +117,7 @@ func TestLocalAbortUnblocksAll(t *testing.T) {
 }
 
 func TestLocalLatency(t *testing.T) {
-	l := NewLocal(15*time.Millisecond, 0)
+	l := NewLocal(15 * time.Millisecond)
 	_ = l.Send("k", tok(1))
 	start := time.Now()
 	if _, err := l.Recv("k", nil); err != nil {
